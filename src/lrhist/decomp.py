@@ -6,8 +6,18 @@ entry nonnegative and make the objective non-increasing from one sweep to
 the next, which the tests rely on.  All state carries a leading batch axis
 so that many independent problems of the same shape (e.g. one per
 cross-validation fold and restart) run through the same numpy calls.
+`mu_fit_batch` runs such a batch in consecutive blocks of at most 4 MiB of
+input, so that a block stays in cache across all of its sweeps.  The
+results do not depend on how the batch is split: a Tucker sweep acts on
+one batch element at a time (one BLAS call per matrix, elementwise
+arithmetic, sums along rows), and so does a CP sweep on a batch of more
+than k elements.  np.einsum lays out the intermediates of a CP contraction
+by extent, so on a batch of at most k elements (d >= 3) the last bits can
+differ; this already happens when converged elements leave the batch.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +31,9 @@ from .tensor import (
 )
 
 _AXIS_LETTERS = "abcdefghijklmnopqr"
+# most input bytes in one block of mu_fit_batch: a block and its sweep
+# temporaries then stay within a shared L3 cache
+_BLOCK_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -34,8 +47,10 @@ class FitOptions:
     def __post_init__(self):
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be positive")
-        if self.rel_tol <= 0 or self.epsilon_guard <= 0:
-            raise ValueError("rel_tol and epsilon_guard must be positive")
+        for name in ("rel_tol", "epsilon_guard"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass
@@ -117,11 +132,24 @@ def _tucker_recon_batch(G, A):
     return R
 
 
+@functools.lru_cache(maxsize=1024)
+def _einsum_path(spec, shapes):
+    # the greedy search reads only the operand shapes
+    dummies = [np.broadcast_to(0.0, s) for s in shapes]
+    return tuple(np.einsum_path(spec, *dummies, optimize=True)[0])
+
+
+def _einsum(spec, *operands):
+    """np.einsum(optimize=True), searching the path once per spec and shapes."""
+    path = _einsum_path(spec, tuple(o.shape for o in operands))
+    return np.einsum(spec, *operands, optimize=path)
+
+
 def _cp_recon_batch(w, A):
     d = len(A)
     letters = _AXIS_LETTERS[:d]
     spec = "sz," + ",".join(f"s{c}z" for c in letters) + "->s" + letters
-    return np.einsum(spec, w, *A, optimize=True)
+    return _einsum(spec, w, *A)
 
 
 def _bmttkrp(X, A, n):
@@ -139,7 +167,7 @@ def _bmttkrp(X, A, n):
         spec += f",s{letters[j]}z"
         operands.append(A[j])
     spec += f"->s{letters[n]}z"
-    return np.einsum(spec, *operands, optimize=True)
+    return _einsum(spec, *operands)
 
 
 def _unfold(T, axis):
@@ -380,9 +408,12 @@ def mu_fit_batch(X, k, method, opts, rng):
 
     Initial values for all (element, restart) pairs are drawn from the
     supplied generator in one canonical order, so results depend only on
-    the generator state, not on scheduling.  Returns the per-element best
-    restart as (head, factors, objective) where head is the core stack for
-    'tucker' and the weight stack for 'cp'.
+    the generator state, not on scheduling.  The (element, restart) rows
+    are then fitted in consecutive blocks of equal size holding at most
+    _BLOCK_BYTES of input each (the last block may be smaller); each block
+    gathers its rows of X, so the restart-expanded stack is never built.
+    Returns the per-element best restart as (head, factors, objective)
+    where head is the core stack for 'tucker' and the weight stack for 'cp'.
     """
     nb = X.shape[0]
     shape = X.shape[1:]
@@ -398,13 +429,19 @@ def mu_fit_batch(X, k, method, opts, rng):
     else:
         head = rng.uniform(0.1, 1.0, size=(total,) + (k,) * d)
     arrays = [head] + factors
-    Xr = np.repeat(X, r, axis=0)
     sweep = _ncp_sweep if cp else _ntd_sweep
     recon = _cp_recon_batch if cp else _tucker_recon_batch
-    finals, obj, _, _ = _mu_minimize(
-        Xr, arrays, sweep, recon, opts.max_iters, opts.rel_tol,
-        opts.epsilon_guard, exact_obj=False,
-    )
+    n_blocks = -(-r * X.nbytes // _BLOCK_BYTES)
+    size = -(-total // max(1, n_blocks))
+    parts = []
+    for start in range(0, total, size):
+        rows = np.arange(start, min(start + size, total))
+        parts.append(_mu_minimize(
+            X[rows // r], [a[rows] for a in arrays], sweep, recon,
+            opts.max_iters, opts.rel_tol, opts.epsilon_guard, exact_obj=False,
+        ))
+    finals = [np.concatenate(f) for f in zip(*(p[0] for p in parts))]
+    obj = np.concatenate([p[1] for p in parts])
     groups = obj.reshape(nb, r)
     best = groups.argmin(axis=1) + np.arange(nb) * r
     return (

@@ -104,6 +104,13 @@ class ExperimentConfig:
                 raise ValueError(f"unknown estimator {e!r}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        _check_grid(self.b_max, self.k_max)
+
+
+def _check_grid(b_max, k_max):
+    for name, value in (("b_max", b_max), ("k_max", k_max)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -159,6 +166,7 @@ def cv_risk_table(X_train, estimator, b_max, k_max, n_folds, n_val,
     estimators search all cells with k <= min(k_max, b).  Returns the cell
     list in lexicographic order, with their mean validation risks.
     """
+    _check_grid(b_max, k_max)
     X_train = validate_sample(X_train)
     n, d = X_train.shape
     if n <= n_val:

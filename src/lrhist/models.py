@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fileio import DataError, parse_keyvalue
 from .histogram import HistogramDensity
 from .tensor import cp_reconstruct, tucker_reconstruct, validate_prob_tensor
 
@@ -213,16 +214,7 @@ def write_spec(spec, path):
 
 def read_spec(path):
     """Parse a spec file written by write_spec."""
-    entries = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (s.strip() for s in line.split("=", 1))
-            entries[key] = value
+    entries = parse_keyvalue(path)
     try:
         model = entries.pop("model")
         d = int(entries.pop("dims"))
@@ -242,9 +234,11 @@ def read_spec(path):
         else:
             raise ValueError(f"unknown model type {model!r}")
     except KeyError as exc:
-        raise ValueError(f"{path}: missing spec key {exc}") from None
+        raise DataError(f"{path}: missing spec key {exc}") from None
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
     if entries:
-        raise ValueError(f"{path}: unknown spec keys {sorted(entries)}")
+        raise DataError(f"{path}: unknown spec keys {sorted(entries)}")
     return spec
 
 

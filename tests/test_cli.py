@@ -191,6 +191,23 @@ class TestExperimentCommand:
         cfg.write_text("frobnicate = 1\n")
         assert main(["experiment", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("key", ["b_max", "k_max"])
+    def test_empty_grid_is_usage_error(self, tmp_path, capsys, key):
+        cfg = self._write_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace(f"{key} = ", f"{key} = 0\n# "))
+        assert main(["experiment", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {key} must be positive, got 0\n"
+
+    def test_duplicate_spec_key_is_data_error(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        spec = tmp_path / "model.spec"
+        spec.write_text(spec.read_text() + "dims = 2\n")
+        assert main(["experiment", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert "duplicate key 'dims'" in err
+
     def test_bad_flag_is_usage_error(self):
         assert main(["experiment", "--no-such-flag"]) == 1
 

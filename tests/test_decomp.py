@@ -1,8 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from lrhist import decomp
 from lrhist.decomp import (
     FitOptions,
+    _bmttkrp,
+    _cp_recon_batch,
     _ncp_sweep,
     _ntd_sweep,
     fit_prob_tensor,
@@ -26,6 +33,12 @@ class TestFitOptions:
             FitOptions(rel_tol=0.0)
         with pytest.raises(ValueError):
             FitOptions(restarts=0)
+
+    @pytest.mark.parametrize("name", ["rel_tol", "epsilon_guard"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            FitOptions(**{name: value})
 
 
 class TestInputValidation:
@@ -192,3 +205,112 @@ class TestBatchedFit:
         h2, f2, o2 = mu_fit_batch(X, 2, "cp", opts, np.random.default_rng(5))
         assert np.array_equal(h1, h2)
         assert np.array_equal(o1, o2)
+
+
+class TestCachedEinsumPath:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_equals_optimize_true_bit_for_bit(self, d):
+        rng = np.random.default_rng(10 + d)
+        nb, k = 3, 2
+        shape = (4, 3, 5, 2)[:d]
+        X = rng.random((nb,) + shape)
+        w = rng.random((nb, k))
+        A = [rng.random((nb, e, k)) for e in shape]
+        letters = "abcd"[:d]
+        spec = "sz," + ",".join(f"s{c}z" for c in letters) + "->s" + letters
+        for _ in range(2):  # second round reads the cached path
+            assert np.array_equal(
+                _cp_recon_batch(w, A),
+                np.einsum(spec, w, *A, optimize=True),
+            )
+            for n in range(d):
+                others = [j for j in range(d) if j != n]
+                mspec = ("s" + letters + "".join(f",s{letters[j]}z" for j in others)
+                         + f"->s{letters[n]}z")
+                ref = (np.einsum(mspec, X, *(A[j] for j in others), optimize=True)
+                       if d > 1 else np.broadcast_to(X[:, :, None], X.shape + (k,)))
+                assert np.array_equal(_bmttkrp(X, A, n), ref)
+
+
+def _fit_in_blocks(X, k, method, opts, block_bytes):
+    """mu_fit_batch with the given block size; also returns the block sizes."""
+    sizes = []
+    inner = decomp._mu_minimize
+
+    def recording(Xb, *args, **kwargs):
+        sizes.append(Xb.shape[0])
+        return inner(Xb, *args, **kwargs)
+
+    with mock.patch.object(decomp, "_BLOCK_BYTES", block_bytes), \
+            mock.patch.object(decomp, "_mu_minimize", recording):
+        out = mu_fit_batch(X, k, method, opts, np.random.default_rng(11))
+    return out, sizes
+
+
+def _assert_same_fit(a, b):
+    (ha, fa, oa), (hb, fb, ob) = a, b
+    assert np.array_equal(ha, hb)
+    assert len(fa) == len(fb)
+    assert all(np.array_equal(x, y) for x, y in zip(fa, fb))
+    assert np.array_equal(oa, ob)
+
+
+def _assert_close_fit(a, b):
+    (ha, fa, oa), (hb, fb, ob) = a, b
+    np.testing.assert_allclose(ha, hb, rtol=1e-12)
+    for x, y in zip(fa, fb):
+        np.testing.assert_allclose(x, y, rtol=1e-12)
+    np.testing.assert_allclose(oa, ob, rtol=1e-12)
+
+
+class TestBlockedBatch:
+    @pytest.mark.parametrize("method", ["tucker", "cp"])
+    @pytest.mark.parametrize("d,b", [(2, 5), (3, 4), (4, 3)])
+    def test_split_does_not_change_results(self, method, d, b):
+        rng = np.random.default_rng(d)
+        nb, r, k = 7, 2, 2
+        X = rng.dirichlet(np.full(b**d, 0.3), size=nb).reshape((nb,) + (b,) * d)
+        # every fit runs to max_iters, so no block shrinks by compaction
+        opts = FitOptions(max_iters=8, rel_tol=1e-14, restarts=r)
+        row_bytes = b**d * 8
+        single, sizes = _fit_in_blocks(X, k, method, opts, 4 * 2**20)
+        assert sizes == [14]
+        uneven, sizes = _fit_in_blocks(X, k, method, opts, 5 * row_bytes)
+        assert sizes == [5, 5, 4]
+        _assert_same_fit(uneven, single)
+        one_row, sizes = _fit_in_blocks(X, k, method, opts, 1)
+        assert sizes == [1] * 14
+        if method == "cp" and d >= 3:
+            # np.einsum orders intermediate axes by extent, so a batch of
+            # at most k elements takes another contraction layout
+            _assert_close_fit(one_row, single)
+        else:
+            _assert_same_fit(one_row, single)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        method=st.sampled_from(["tucker", "cp"]),
+        d=st.integers(1, 3),
+        b=st.integers(1, 4),
+        k_frac=st.floats(0.0, 1.0),
+        nb=st.integers(1, 4),
+        restarts=st.integers(1, 3),
+        rows_per_block=st.integers(1, 12),
+        max_iters=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_split_matches_one_block(self, method, d, b, k_frac, nb,
+                                          restarts, rows_per_block, max_iters,
+                                          seed):
+        assume(method == "tucker" or d <= 2)  # see the test above
+        k = 1 + int(k_frac * (b - 1))
+        rng = np.random.default_rng(seed)
+        X = rng.random((nb,) + (b,) * d) * (rng.random((nb,) + (b,) * d) < 0.5)
+        opts = FitOptions(max_iters=max_iters, rel_tol=1e-2, restarts=restarts)
+        whole, _ = _fit_in_blocks(X, k, method, opts, 2**40)
+        split, sizes = _fit_in_blocks(
+            X, k, method, opts, rows_per_block * b**d * 8
+        )
+        assert sum(sizes) == nb * restarts
+        assert max(sizes) <= rows_per_block
+        _assert_same_fit(split, whole)

@@ -51,6 +51,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config(estimators=("standard", "spline"))
 
+    @pytest.mark.parametrize("grid", [{"b_max": 0}, {"k_max": 0}, {"b_max": -2}])
+    def test_empty_grid(self, grid):
+        with pytest.raises(ValueError, match="must be positive"):
+            tiny_config(**grid)
+
     def test_default_grids(self):
         assert default_grid(2) == (15, 10)
         assert default_grid(3) == (15, 10)
@@ -86,6 +91,14 @@ class TestCrossValidate:
         X = rng.random((40, 2))
         assert cross_validate(X, "tucker", 1, 1, 3, 8, LIGHT, 0) == (1, 1)
         assert cross_validate(X, "standard", 1, 1, 3, 8, LIGHT, 0) == (1, 0)
+
+    @pytest.mark.parametrize("estimator", ["standard", "tucker"])
+    def test_empty_grid_is_value_error(self, estimator):
+        X = np.random.default_rng(1).random((40, 2))
+        with pytest.raises(ValueError, match="b_max"):
+            cv_risk_table(X, estimator, 0, 2, 3, 8, LIGHT, 0)
+        with pytest.raises(ValueError, match="k_max"):
+            cross_validate(X, estimator, 2, 0, 3, 8, LIGHT, 0)
 
     def test_standard_cells_have_no_k(self):
         rng = np.random.default_rng(2)

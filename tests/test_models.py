@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from lrhist.fileio import DataError
+
 from lrhist.histogram import bin_indices_flat, histogram_from_data, l1_distance, u_map
 from lrhist.models import (
     MarginalBank,
@@ -237,4 +239,25 @@ class TestSpecSerialization:
         write_spec(spec, path)
         path.write_text(path.read_text() + "extra = 1\n")
         with pytest.raises(ValueError):
+            read_spec(path)
+
+    def test_duplicate_key_rejected(self, tmp_path):
+        path = tmp_path / "model.spec"
+        write_spec(random_tucker_spec(2, 2, 3, 23), path)
+        path.write_text(path.read_text() + "dims = 2\n")
+        with pytest.raises(DataError, match="duplicate key 'dims'"):
+            read_spec(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t.replace("dims = 2", "dims = two"),
+        lambda t: t.replace("model = tucker", "model = spline"),
+        lambda t: t.replace("mixing = ", "mixing = 1.0,"),
+        lambda t: "\n".join(l for l in t.splitlines() if "marginal_1_0" not in l),
+        lambda t: t + "no equals sign\n",
+    ])
+    def test_malformed_spec_is_data_error(self, tmp_path, edit):
+        path = tmp_path / "model.spec"
+        write_spec(random_tucker_spec(2, 2, 3, 24), path)
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(DataError):
             read_spec(path)
